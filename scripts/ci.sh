@@ -49,6 +49,11 @@
 #   bench-smoke   runs the dual-report bench and fails unless the JSON
 #               artifact carries wall_ms and read_p99_us fields (the
 #               raw-speed half of the reporting contract)
+#   snapshot-smoke  a short perfbench snapshot_rw run: snapshot capture,
+#               reads of retained page versions and release end to end,
+#               with the benchmark's own answer and invariant checks; fails
+#               on a non-zero exit or a final line that is not
+#               "correct": true (timings are not gated)
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -147,5 +152,16 @@ grep -q '"read_p99_us"' "$BENCH_DIR/BENCH_bulkload.json" || {
   exit 1
 }
 rm -rf "$BENCH_DIR"
+
+echo "==== [snapshot-smoke] perfbench snapshot_rw end to end ===="
+SMOKE_LAST="$(python3 perfbench/run.py --workload snapshot_rw --seed 1 \
+  --seconds 2 --trace 0 | tail -n 1)" || {
+  echo "snapshot-smoke: perfbench/run.py exited non-zero" >&2
+  exit 1
+}
+grep -q '"correct": true' <<<"$SMOKE_LAST" || {
+  echo "snapshot-smoke: run not correct: $SMOKE_LAST" >&2
+  exit 1
+}
 
 echo "==== all CI jobs passed ===="

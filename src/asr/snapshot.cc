@@ -15,8 +15,8 @@ namespace {
 
 // Scalar frontier probe against a snapshot tree: key-by-key cluster lookups,
 // collecting the non-null values of `rel_col`. The snapshot path always
-// probes scalar — it serves isolation tests and concurrent readers, not the
-// metered single-writer benchmarks the batched probe exists for.
+// probes scalar. It serves isolation tests, concurrent readers and the
+// `snapshot_rw` workload of perfbench/, which times this loop end to end.
 void ProbeSnapshotFrontier(btree::BTree* tree,
                            const std::unordered_set<AsrKey>& frontier,
                            uint32_t rel_col,

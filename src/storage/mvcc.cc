@@ -132,8 +132,13 @@ size_t MvccManager::live_snapshots() const {
 size_t MvccManager::retained_pages() const {
   SnapshotReadLock lock(mu_);
   size_t n = 0;
-  for (const auto& [id, v] : pages_) n += v.retained.size();
+  for (const auto& [id, images] : retained_) n += images.size();
   return n;
+}
+
+size_t MvccManager::versioned_pages() const {
+  SnapshotReadLock lock(mu_);
+  return current_.size();
 }
 
 PageTransaction* MvccManager::CurrentTransaction() { return t_current_txn; }
@@ -163,11 +168,9 @@ bool MvccManager::RouteWrite(Disk* disk, PageId id, const Page& page,
   // Auto-versioned direct write: a registered segment written outside any
   // transaction (legacy maintenance, shared-store reconcile) commits a
   // single-page epoch so live snapshots keep reading the image they pinned.
-  PageVersions& versions = pages_[id];
-  RetainIfNeeded(disk, id, &versions);
-  *result = disk->WritePageUnversioned(id, page);
+  *result = WriteVersion(disk, id, page, epoch_ + 1);
   if (result->ok()) {
-    versions.current = ++epoch_;
+    ++epoch_;
     direct_versioned_writes_.Inc();
     UpdateSnapshotAge();
   }
@@ -196,8 +199,7 @@ Status MvccManager::ReadSnapshotPage(Disk* disk, PageId id,
   ASR_CHECK(snap.valid() && snap.mvcc_ == this);
   SnapshotReadLock lock(mu_);
   snapshot_reads_.Inc();
-  auto it = pages_.find(id);
-  if (it == pages_.end() || it->second.current <= snap.epoch_) {
+  if (CurrentVersion(id) <= snap.epoch_) {
     // The backend image is the one this snapshot pinned. Reading under the
     // shared lock excludes a commit replacing it mid-copy.
     return disk->ReadPageUnversioned(id, out);
@@ -205,7 +207,9 @@ Status MvccManager::ReadSnapshotPage(Disk* disk, PageId id,
   // Replaced since checkout: serve the retained image with the largest
   // version <= the snapshot epoch. Retention at commit time guarantees it
   // exists while this snapshot is live.
-  const auto& retained = it->second.retained;
+  auto images = retained_.find(id);
+  ASR_CHECK(images != retained_.end());
+  const auto& retained = images->second;
   auto r = retained.upper_bound(snap.epoch_);
   ASR_CHECK(r != retained.begin());
   --r;
@@ -232,10 +236,7 @@ Status MvccManager::CommitTransaction(PageTransaction* txn,
   // past our checkout epoch belongs to a transaction that got there first.
   std::vector<PageId> losers;
   for (const auto& [id, page] : txn->staged_) {
-    auto it = pages_.find(id);
-    if (it != pages_.end() && it->second.current > txn->checkout_) {
-      losers.push_back(id);
-    }
+    if (CurrentVersion(id) > txn->checkout_) losers.push_back(id);
   }
   if (!losers.empty()) {
     conflicts_.Inc();
@@ -258,10 +259,7 @@ Status MvccManager::CommitTransaction(PageTransaction* txn,
     // the epoch until the writes below finish.
     const MvccEpoch commit_epoch = ++epoch_;
     for (const auto& [id, page] : txn->staged_) {
-      PageVersions& versions = pages_[id];
-      RetainIfNeeded(disk_, id, &versions);
-      ASR_RETURN_IF_ERROR(disk_->WritePageUnversioned(id, page));
-      versions.current = commit_epoch;
+      ASR_RETURN_IF_ERROR(WriteVersion(disk_, id, page, commit_epoch));
     }
     if (wal_ != nullptr) {
       // Unsynced audit marker; the journal's commit record syncs the tail.
@@ -285,44 +283,90 @@ void MvccManager::AbortTransaction(PageTransaction* txn) {
   (void)txn;  // staging is txn-local; nothing global to undo
 }
 
-void MvccManager::RetainIfNeeded(Disk* disk, PageId id,
-                                 PageVersions* versions) {
-  if (snapshots_.empty()) return;
+MvccEpoch MvccManager::CurrentVersion(PageId id) const {
+  auto it = current_.find(id);
+  return it == current_.end() ? 0 : it->second;
+}
+
+Status MvccManager::WriteVersion(Disk* disk, PageId id, const Page& page,
+                                 MvccEpoch version) {
+  const MvccEpoch current = CurrentVersion(id);
+  const bool retained = RetainIfNeeded(disk, id, current);
+  Status st = disk->WritePageUnversioned(id, page);
+  if (!st.ok()) {
+    // The image at `current` is still the backend image, so the copy just
+    // taken has an empty validity window: drop it rather than leave it for
+    // a collection pass.
+    if (retained) {
+      auto images = retained_.find(id);
+      images->second.erase(current);
+      if (images->second.empty()) retained_.erase(images);
+    }
+    return st;
+  }
+  current_[id] = version;
+  return Status::OK();
+}
+
+bool MvccManager::RetainIfNeeded(Disk* disk, PageId id, MvccEpoch current) {
+  if (snapshots_.empty()) return false;
   // The image about to be replaced is valid for snapshot epochs in
-  // [versions->current, new version). Every live snapshot epoch is below
-  // the new version (it has not been minted yet), so the image is needed
-  // iff some live snapshot is at or past its birth version. Earlier
-  // snapshots are served by images retained when those versions died.
-  if (*snapshots_.rbegin() < versions->current) return;
+  // [current, new version). Every live snapshot epoch is below the new
+  // version (it has not been minted yet), so the image is needed iff some
+  // live snapshot is at or past its birth version. Earlier snapshots are
+  // served by images retained when those versions died.
+  if (*snapshots_.rbegin() < current) return false;
   Page old_image;
   // Uncounted raw read: version retention is bookkeeping, not workload.
-  if (!disk->ReadPageRaw(id, &old_image).ok()) return;
-  versions->retained.emplace(versions->current, old_image);
+  if (!disk->ReadPageRaw(id, &old_image).ok()) return false;
+  if (!retained_[id].emplace(current, old_image).second) return false;
   retained_copies_.Inc();
+  return true;
+}
+
+bool MvccManager::AnySnapshotIn(MvccEpoch lo, MvccEpoch hi) const {
+  auto s = snapshots_.lower_bound(lo);
+  return s != snapshots_.end() && *s < hi;
 }
 
 void MvccManager::CollectRetained() {
-  for (auto p = pages_.begin(); p != pages_.end();) {
-    auto& retained = p->second.retained;
+  for (auto p = retained_.begin(); p != retained_.end();) {
+    auto& retained = p->second;
+    const MvccEpoch current = CurrentVersion(p->first);
     for (auto r = retained.begin(); r != retained.end();) {
       auto next = std::next(r);
-      const MvccEpoch upper =
-          next != retained.end() ? next->first : p->second.current;
+      const MvccEpoch upper = next != retained.end() ? next->first : current;
       // retained[v] serves snapshots in [v, upper); drop it when none live.
-      auto s = snapshots_.lower_bound(r->first);
-      if (s == snapshots_.end() || *s >= upper) {
+      if (!AnySnapshotIn(r->first, upper)) {
         r = retained.erase(r);
       } else {
         r = next;
       }
     }
-    if (p->second.retained.empty() && p->second.current == 0) {
-      p = pages_.erase(p);
+    if (retained.empty()) {
+      p = retained_.erase(p);
     } else {
       ++p;
     }
   }
+#if ASR_PARANOID_ENABLED
+  CheckRetained();
+#endif
 }
+
+#if ASR_PARANOID_ENABLED
+void MvccManager::CheckRetained() const {
+  for (const auto& [id, retained] : retained_) {
+    ASR_CHECK(!retained.empty());
+    const MvccEpoch current = CurrentVersion(id);
+    for (auto r = retained.begin(); r != retained.end(); ++r) {
+      auto next = std::next(r);
+      const MvccEpoch upper = next != retained.end() ? next->first : current;
+      ASR_CHECK(AnySnapshotIn(r->first, upper));
+    }
+  }
+}
+#endif
 
 void MvccManager::UpdateSnapshotAge() {
 #if ASR_METRICS_ENABLED
@@ -344,7 +388,7 @@ void MvccManager::ExportMetrics(obs::MetricsRegistry* registry,
   registry->Set(prefix + ".retained_copies", retained_copies_.value());
   registry->Set(prefix + ".live_snapshots", snapshots_.size());
   size_t retained = 0;
-  for (const auto& [id, v] : pages_) retained += v.retained.size();
+  for (const auto& [id, images] : retained_) retained += images.size();
   registry->Set(prefix + ".retained_pages", retained);
   registry->SetHistogram(prefix + ".commit_pages", commit_pages_.snapshot());
 }

@@ -160,7 +160,11 @@ class MvccManager {
   PageSnapshot BeginSnapshot();
   MvccEpoch committed_epoch() const;
   size_t live_snapshots() const;
+  // Retained old images across all pages. O(pages with retained images).
   size_t retained_pages() const;
+  // Pages with a version-table entry: those committed at least once since
+  // the manager was attached. Every other page is at version 0.
+  size_t versioned_pages() const;
 
   // The transaction bound to the calling thread, if any.
   static PageTransaction* CurrentTransaction();
@@ -177,14 +181,6 @@ class MvccManager {
   friend class Disk;
   friend class PageSnapshot;
   friend class PageTransaction;
-
-  struct PageVersions {
-    // Epoch of the image currently in the backend (0 = pre-MVCC image).
-    MvccEpoch current = 0;
-    // Old images still needed by live snapshots. retained[v] is valid for
-    // snapshot epochs in [v, next retained version or `current`).
-    std::map<MvccEpoch, Page> retained;
-  };
 
   // --- Disk hooks (called with no mvcc lock held) --------------------------
   // Serves `id` from the calling thread's active transaction. Returns false
@@ -213,16 +209,46 @@ class MvccManager {
   Status CommitTransaction(PageTransaction* txn, std::vector<PageId>* conflicts)
       ASR_EXCLUDES(mu_);
   void AbortTransaction(PageTransaction* txn);
+  // Epoch of the backend image of `id`; 0 when it has no entry.
+  MvccEpoch CurrentVersion(PageId id) const ASR_REQUIRES(mu_);
+  // Writes `page` as the image of `id` at `version`: retains the image it
+  // replaces when some live snapshot still needs it, and records the new
+  // version only once the backend write succeeds. On failure the version
+  // table is left exactly as it was (no entry is created, and a retention
+  // made for the failed write is undone).
+  Status WriteVersion(Disk* disk, PageId id, const Page& page,
+                      MvccEpoch version) ASR_REQUIRES(mu_);
   // Retains the backend image of `id` (currently at version `current`) when
-  // some live snapshot still needs it.
-  void RetainIfNeeded(Disk* disk, PageId id, PageVersions* versions)
+  // some live snapshot still needs it. Returns true when a copy was taken.
+  bool RetainIfNeeded(Disk* disk, PageId id, MvccEpoch current)
       ASR_REQUIRES(mu_);
   void UpdateSnapshotAge() ASR_REQUIRES(mu_);
+  // True when some live snapshot epoch lies in [lo, hi).
+  bool AnySnapshotIn(MvccEpoch lo, MvccEpoch hi) const ASR_REQUIRES(mu_);
+  // Drops every retained image whose validity window holds no live
+  // snapshot. Visits only retained_, never the whole version table.
   void CollectRetained() ASR_REQUIRES(mu_);
+#if ASR_PARANOID_ENABLED
+  // Asserts that every retained image is needed by a live snapshot and
+  // that no retained_ entry is empty. O(retained images).
+  void CheckRetained() const ASR_REQUIRES(mu_);
+#endif
 
   mutable std::shared_mutex mu_;
   std::unordered_set<uint32_t> registered_ ASR_GUARDED_BY(mu_);
-  std::unordered_map<PageId, PageVersions> pages_ ASR_GUARDED_BY(mu_);
+  // The version table, split in two so that snapshot release visits only
+  // the pages that can free something:
+  //   current_[id]  epoch of the image in the backend, for every page
+  //                 committed since attach (absent = 0, the pre-MVCC image);
+  //   retained_[id] old images still needed by live snapshots; retained_
+  //                 [id][v] serves snapshot epochs in [v, the next retained
+  //                 version or current_[id]).
+  // Invariant: retained_ holds an entry only for a page with at least one
+  // retained image (an entry is erased when its map empties), and every
+  // such page also has a current_ entry above all its retained versions.
+  std::unordered_map<PageId, MvccEpoch> current_ ASR_GUARDED_BY(mu_);
+  std::unordered_map<PageId, std::map<MvccEpoch, Page>> retained_
+      ASR_GUARDED_BY(mu_);
   // Live snapshot epochs (multiset: several readers may share an epoch).
   std::multiset<MvccEpoch> snapshots_ ASR_GUARDED_BY(mu_);
   MvccEpoch epoch_ ASR_GUARDED_BY(mu_) = 0;

@@ -4,13 +4,17 @@
 // legacy-path guarantee for unregistered segments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "storage/disk.h"
+#include "storage/fault_injector.h"
 #include "storage/mvcc.h"
 #include "storage/page.h"
 #include "storage/wal.h"
@@ -373,6 +377,229 @@ TEST(MvccTest, ExportMetricsPublishesTheMvccSurface) {
   EXPECT_GE(registry.counter("mvcc.epoch"), 2u);
   EXPECT_EQ(registry.counter("mvcc.live_snapshots"), 1u);
   EXPECT_GE(registry.counter("mvcc.retained_pages"), 1u);
+}
+
+// A write that fails at the backend must leave the version table as it was:
+// no entry for the page, no epoch, and no retained copy with an empty
+// validity window for a later collection pass to find.
+TEST(MvccTest, FailedWritesLeaveNoVersionEntry) {
+  Disk disk;
+  uint32_t seg = disk.CreateSegment("versioned");
+  PageId a = disk.AllocatePage(seg);
+  PageId b = disk.AllocatePage(seg);
+  ASSERT_TRUE(disk.WritePage(a, MakePage(5)).ok());  // before the manager
+  ASSERT_TRUE(disk.WritePage(b, MakePage(6)).ok());
+
+  MvccManager mvcc;
+  disk.AttachMvcc(&mvcc);
+  mvcc.RegisterSegment(seg);
+  FaultInjector injector;
+  disk.set_fault_injector(&injector);
+  FaultSpec spec;
+  spec.kind = FaultKind::kWriteCrash;
+  spec.segment = seg;
+
+  PageSnapshot snap = mvcc.BeginSnapshot();
+  // Direct write path.
+  spec.after_matching = 1;
+  injector.Arm(spec);
+  EXPECT_TRUE(disk.WritePage(a, MakePage(50)).IsIOError());
+  injector.Disarm();
+  EXPECT_EQ(mvcc.committed_epoch(), 0u);
+  EXPECT_EQ(mvcc.versioned_pages(), 0u);
+  EXPECT_EQ(mvcc.retained_pages(), 0u);
+  Page out;
+  ASSERT_TRUE(disk.ReadPageSnapshot(a, snap, &out).ok());
+  EXPECT_EQ(Stamp(out), 5u);
+
+  // Commit path: the first staged page lands, the second one fails.
+  spec.after_matching = 2;
+  injector.Arm(spec);
+  {
+    PageTransaction txn(&mvcc, {seg});
+    ASSERT_TRUE(disk.WritePage(a, MakePage(60)).ok());
+    ASSERT_TRUE(disk.WritePage(b, MakePage(70)).ok());
+    EXPECT_TRUE(txn.Commit().IsIOError());
+  }
+  injector.Disarm();
+  EXPECT_EQ(mvcc.versioned_pages(), 1u);  // only the page that was written
+  EXPECT_EQ(mvcc.retained_pages(), 1u);   // its pre-MVCC image, for `snap`
+  ASSERT_TRUE(disk.ReadPageSnapshot(a, snap, &out).ok());
+  EXPECT_EQ(Stamp(out), 5u);
+  ASSERT_TRUE(disk.ReadPageSnapshot(b, snap, &out).ok());
+  EXPECT_EQ(Stamp(out), 6u);
+
+  snap.Release();
+  EXPECT_EQ(mvcc.retained_pages(), 0u);
+  EXPECT_EQ(mvcc.versioned_pages(), 1u);
+}
+
+// Randomized oracle for retention and collection. A brute-force model keeps
+// every image each page ever had; after every step each live snapshot must
+// read exactly the image of its epoch, and the manager must retain exactly
+// the (page, image) pairs some live snapshot still needs.
+TEST(MvccTest, RandomizedRetentionMatchesBruteForceOracle) {
+  constexpr int kPages = 64;
+  constexpr size_t kMaxSnapshots = 8;
+  constexpr int kSteps = 300;
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    MvccDisk d;
+    std::vector<PageId> ids;
+    // history[p]: (version, stamp) of every image page p has had, oldest
+    // first; version 0 is the image written before any commit.
+    std::vector<std::vector<std::pair<MvccEpoch, uint64_t>>> history(kPages);
+    uint64_t next_stamp = 1;
+    for (int p = 0; p < kPages; ++p) {
+      ids.push_back(d.disk.AllocatePage(d.seg));
+      history[p].push_back({0, 0});  // a fresh page reads as zeroes
+    }
+    std::vector<PageSnapshot> live;
+
+    auto image_at = [&](int p, MvccEpoch e) {
+      uint64_t stamp = 0;
+      for (const auto& [v, s] : history[p]) {
+        if (v <= e) stamp = s;
+      }
+      return stamp;
+    };
+    auto needed = [&] {
+      size_t n = 0;
+      for (int p = 0; p < kPages; ++p) {
+        const auto& h = history[p];
+        for (size_t i = 0; i + 1 < h.size(); ++i) {
+          const MvccEpoch lo = h[i].first;
+          const MvccEpoch hi = h[i + 1].first;
+          n += std::any_of(live.begin(), live.end(),
+                           [&](const PageSnapshot& s) {
+                             return s.epoch() >= lo && s.epoch() < hi;
+                           });
+        }
+      }
+      return n;
+    };
+    auto check = [&] {
+      for (const PageSnapshot& snap : live) {
+        for (int p = 0; p < kPages; ++p) {
+          Page out;
+          ASSERT_TRUE(d.disk.ReadPageSnapshot(ids[p], snap, &out).ok());
+          ASSERT_EQ(Stamp(out), image_at(p, snap.epoch()))
+              << "page " << p << " at epoch " << snap.epoch();
+        }
+      }
+      ASSERT_EQ(d.mvcc.retained_pages(), needed());
+    };
+    auto release_random = [&] {
+      std::uniform_int_distribution<size_t> pick(0, live.size() - 1);
+      auto it = live.begin() + static_cast<std::ptrdiff_t>(pick(rng));
+      it->Release();
+      live.erase(it);
+    };
+    std::uniform_int_distribution<int> page_of(0, kPages - 1);
+
+    for (int step = 0; step < kSteps; ++step) {
+      const int action = std::uniform_int_distribution<int>(0, 9)(rng);
+      if (action < 3 && live.size() < kMaxSnapshots) {
+        live.push_back(d.mvcc.BeginSnapshot());
+        // Now and then a second reader at the same epoch.
+        if (action == 0 && live.size() < kMaxSnapshots) {
+          live.push_back(d.mvcc.BeginSnapshot());
+        }
+      } else if (action < 5 && !live.empty()) {
+        release_random();
+      } else if (action < 8) {
+        const int p = page_of(rng);
+        const uint64_t stamp = next_stamp++;
+        ASSERT_TRUE(d.disk.WritePage(ids[p], MakePage(stamp)).ok());
+        history[p].push_back({d.mvcc.committed_epoch(), stamp});
+      } else {
+        std::vector<int> pages;
+        const int n = std::uniform_int_distribution<int>(2, 6)(rng);
+        while (static_cast<int>(pages.size()) < n) {
+          const int p = page_of(rng);
+          if (std::find(pages.begin(), pages.end(), p) == pages.end()) {
+            pages.push_back(p);
+          }
+        }
+        const uint64_t stamp = next_stamp++;
+        PageTransaction txn(&d.mvcc, {d.seg});
+        for (int p : pages) {
+          ASSERT_TRUE(d.disk.WritePage(ids[p], MakePage(stamp)).ok());
+        }
+        ASSERT_TRUE(txn.Commit().ok());
+        for (int p : pages) {
+          history[p].push_back({d.mvcc.committed_epoch(), stamp});
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(check());
+    }
+    while (!live.empty()) {
+      release_random();
+      ASSERT_NO_FATAL_FAILURE(check());
+    }
+    EXPECT_EQ(d.mvcc.retained_pages(), 0u);
+    EXPECT_EQ(d.mvcc.live_snapshots(), 0u);
+  }
+}
+
+// Readers open, read and release snapshots in a loop while a writer commits
+// over the same pages. Every commit stamps all pages with its own epoch, so
+// a reader knows the exact image its pinned epoch must show. Under TSan this
+// is the race check for retention racing collection.
+TEST(MvccTest, SnapshotChurnWhileCommitting) {
+  MvccDisk d;
+  constexpr int kPages = 8;
+  constexpr int kReaders = 2;
+  constexpr int kSnapshotsPerReader = 150;
+  constexpr uint64_t kMinCommits = 50;
+  std::vector<PageId> ids;
+  for (int p = 0; p < kPages; ++p) ids.push_back(d.disk.AllocatePage(d.seg));
+  auto commit_all = [&](uint64_t stamp) {
+    PageTransaction txn(&d.mvcc, {d.seg});
+    for (PageId id : ids) {
+      ASSERT_TRUE(d.disk.WritePage(id, MakePage(stamp)).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  };
+  commit_all(1);
+  ASSERT_EQ(d.mvcc.committed_epoch(), 1u);
+
+  auto read_snapshots = [&] {
+    for (int i = 0; i < kSnapshotsPerReader; ++i) {
+      PageSnapshot snap = d.mvcc.BeginSnapshot();
+      for (int pass = 0; pass < 2; ++pass) {
+        for (PageId id : ids) {
+          Page out;
+          ASSERT_TRUE(d.disk.ReadPageSnapshot(id, snap, &out).ok());
+          ASSERT_EQ(Stamp(out), snap.epoch());
+        }
+        std::this_thread::yield();
+      }
+    }
+  };
+  std::atomic<int> readers_running{kReaders};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      read_snapshots();
+      readers_running.fetch_sub(1);
+    });
+  }
+  // The writer keeps committing until both readers are through, and at
+  // least kMinCommits times whatever the schedule.
+  uint64_t stamp = 1;
+  std::thread writer([&] {
+    while (readers_running.load() > 0 || stamp <= kMinCommits) {
+      commit_all(++stamp);
+      if (::testing::Test::HasFatalFailure()) break;
+    }
+  });
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(d.mvcc.committed_epoch(), stamp);
+  EXPECT_EQ(d.mvcc.live_snapshots(), 0u);
+  EXPECT_EQ(d.mvcc.retained_pages(), 0u);
 }
 
 }  // namespace
