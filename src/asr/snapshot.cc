@@ -65,9 +65,8 @@ Result<std::unique_ptr<AsrSnapshot>> AccessSupportRelation::OpenSnapshot() {
   }
   std::unique_ptr<AsrSnapshot> snapshot(new AsrSnapshot(this));
   snapshot->snap_ = manager->BeginSnapshot();
-  snapshot->pool_ = std::make_unique<storage::BufferManager>(
-      store_->buffers()->disk(), store_->buffers()->capacity(),
-      &snapshot->snap_);
+  snapshot->pool_ =
+      TakeSnapshotPool(&snapshot->snap_, &snapshot->pool_generation_);
   snapshot->partitions_.reserve(partitions_.size());
   for (const Partition& part : partitions_) {
     AsrSnapshot::SnapPartition sp;
@@ -80,6 +79,49 @@ Result<std::unique_ptr<AsrSnapshot>> AccessSupportRelation::OpenSnapshot() {
     snapshot->partitions_.push_back(std::move(sp));
   }
   return snapshot;
+}
+
+std::unique_ptr<storage::BufferManager> AccessSupportRelation::TakeSnapshotPool(
+    const storage::PageSnapshot* snap, uint64_t* generation) {
+  std::unique_ptr<storage::BufferManager> pool;
+  {
+    std::lock_guard<std::mutex> lock(snapshot_pool_mu_);
+    pool = std::move(spare_snapshot_pool_);
+    *generation = snapshot_pool_generation_;
+  }
+  if (pool == nullptr) {
+    return std::make_unique<storage::BufferManager>(
+        store_->buffers()->disk(), store_->buffers()->capacity(), snap);
+  }
+  pool->Repoint(snap);
+  return pool;
+}
+
+void AccessSupportRelation::ReturnSnapshotPool(
+    std::unique_ptr<storage::BufferManager> pool, uint64_t generation) {
+  std::lock_guard<std::mutex> lock(snapshot_pool_mu_);
+  if (generation == snapshot_pool_generation_ &&
+      spare_snapshot_pool_ == nullptr) {
+    spare_snapshot_pool_ = std::move(pool);
+  }
+  // Otherwise `pool` is freed on return, outside the lock.
+}
+
+void AccessSupportRelation::DiscardSnapshotPool() {
+  std::unique_ptr<storage::BufferManager> spare;
+  std::lock_guard<std::mutex> lock(snapshot_pool_mu_);
+  spare = std::move(spare_snapshot_pool_);
+  ++snapshot_pool_generation_;
+}
+
+AsrSnapshot::~AsrSnapshot() {
+  // The trees unpin through pool_, so they go first; the pool is parked
+  // before snap_ is released (after this body), and then handed back.
+  partitions_.clear();
+  if (pool_ != nullptr) {
+    pool_->Repoint(nullptr);
+    asr_->ReturnSnapshotPool(std::move(pool_), pool_generation_);
+  }
 }
 
 Result<std::vector<AsrKey>> AsrSnapshot::EvalForward(AsrKey start, uint32_t i,

@@ -10,6 +10,13 @@
 // and the reader never blocks writers; the copy-on-write retention in
 // storage/mvcc.h is the isolation mechanism.
 //
+// The pool is recycled: the ASR keeps one spare snapshot pool, a new
+// snapshot takes it (or builds a cold one when another snapshot holds it),
+// and a released snapshot hands it back. Its frames are tagged with the
+// version of their page image and revalidated at pin time, so a warm frame
+// is served only while the new epoch still resolves its page to the same
+// version (DESIGN.md §14.4).
+//
 // The alternative — evaluating queries against the live trees concurrently
 // with maintenance — is unsound regardless of page versioning: a writer
 // mutates the live BTree objects' in-memory state (root, height, counts)
@@ -38,6 +45,8 @@ class AccessSupportRelation;
 class AsrSnapshot {
  public:
   ASR_DISALLOW_COPY_AND_ASSIGN(AsrSnapshot);
+  // Drops the trees, then hands the pool back to the source ASR.
+  ~AsrSnapshot();
 
   // The committed epoch this snapshot reads at.
   storage::MvccEpoch epoch() const { return snap_.epoch(); }
@@ -61,15 +70,18 @@ class AsrSnapshot {
     std::unique_ptr<btree::BTree> backward;
   };
 
-  explicit AsrSnapshot(const AccessSupportRelation* asr) : asr_(asr) {}
+  explicit AsrSnapshot(AccessSupportRelation* asr) : asr_(asr) {}
 
   // Immutable-after-Build configuration (path, kind, decomposition) is read
-  // through the source ASR; everything that mutates is captured below.
-  const AccessSupportRelation* asr_;
+  // through the source ASR; everything that mutates is captured below. The
+  // ASR also owns the spare pool that pool_ returns to.
+  AccessSupportRelation* asr_;
   // Declaration order is the teardown contract reversed: partitions_ (trees)
   // pin through pool_, and pool_ reads through snap_.
   storage::PageSnapshot snap_;
   std::unique_ptr<storage::BufferManager> pool_;
+  // Recycling generation pool_ was taken in (stale after Recover/Repair).
+  uint64_t pool_generation_ = 0;
   std::vector<SnapPartition> partitions_;
 };
 

@@ -27,8 +27,9 @@ namespace asr::testing {
 
 struct CompanyBase {
   CompanyBase() = default;
-  explicit CompanyBase(const storage::DiskOptions& disk_options)
-      : disk(disk_options) {}
+  explicit CompanyBase(const storage::DiskOptions& disk_options,
+                       size_t buffer_capacity = 0)
+      : disk(disk_options), buffers(&disk, buffer_capacity) {}
 
   gom::Schema schema;
   storage::Disk disk;
@@ -56,10 +57,12 @@ struct CompanyBase {
 
 // `disk_options` picks the storage backend; the default follows the
 // environment (like a bare Disk), so ASR_STORAGE_BACKEND=file flips every
-// fixture-based test at once.
+// fixture-based test at once. `buffer_capacity` sizes the object store's
+// pool (0 = the metering default).
 inline std::unique_ptr<CompanyBase> MakeCompanyBase(
-    const storage::DiskOptions& disk_options = storage::DiskOptions::FromEnv()) {
-  auto base = std::make_unique<CompanyBase>(disk_options);
+    const storage::DiskOptions& disk_options = storage::DiskOptions::FromEnv(),
+    size_t buffer_capacity = 0) {
+  auto base = std::make_unique<CompanyBase>(disk_options, buffer_capacity);
   gom::Schema& s = base->schema;
 
   TypeId basepart =
