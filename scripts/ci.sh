@@ -23,6 +23,9 @@
 #   fault       the crash-matrix harness (fault_test) re-run explicitly in
 #               the UBSan tree: every injected crash point must recover
 #               without tripping a single UB check
+#   release     tier-1 suite at -DCMAKE_BUILD_TYPE=Release (-O3, -Werror
+#               still on): the build type the benchmark ledger is taken at
+#               must compile warning-free and pass
 #   no-metrics  smoke build with -DASR_METRICS=OFF to prove the
 #               instrumentation compiles out
 #   telemetry   the live-telemetry suite re-run in the TSan tree with the
@@ -99,6 +102,8 @@ run_job ubsan       build-ci-ubsan     -DASR_SANITIZE=ubsan
 echo "==== [fault] crash matrix under UBSan ===="
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   build-ci-ubsan/tests/fault_test
+
+run_job release     build-ci-release   -DCMAKE_BUILD_TYPE=Release
 
 run_job no-metrics  build-ci-nometrics -DASR_METRICS=OFF
 

@@ -28,14 +28,18 @@ rel::Row Slice(const rel::Row& row, uint32_t first, uint32_t last) {
 // One lookup hop: probes `tree` with every frontier key and collects the
 // non-null values of `rel_col` into `next`. Strict-metering configurations
 // (buffer capacity 0) probe key by key so the realized page counts match the
-// model's per-source ht + nlp charge exactly; with a real buffer pool the
-// frontier is sorted and fed to the B+ tree's batched sorted probe, which
-// amortizes descents across keys landing in the same leaves and prefetches
-// sibling leaves — identical rows, fewer instructions.
+// model's per-source ht + nlp charge exactly, and so do snapshot-mode pools,
+// where every pin revalidates its frame's version and the batched probe's
+// extra sibling-leaf pins cost more than its shared descents save
+// (DESIGN.md §14.3). A live pool with a real capacity gets the frontier
+// sorted and fed to the B+ tree's batched sorted probe, which amortizes
+// descents across keys landing in the same leaves and prefetches sibling
+// leaves — identical rows, fewer instructions.
 void ProbeFrontier(btree::BTree* tree,
                    const std::unordered_set<AsrKey>& frontier,
                    uint32_t rel_col, std::unordered_set<AsrKey>* next) {
-  if (tree->buffers()->capacity() == 0) {
+  const storage::BufferManager* pool = tree->buffers();
+  if (pool->capacity() == 0 || pool->snapshot_mode()) {
     for (AsrKey key : frontier) {
       if (key.IsNull()) continue;
       tree->LookupEach(key, [&](const rel::Row& row) {
@@ -364,90 +368,18 @@ Status AccessSupportRelation::PartitionEachRowWithValue(
 Result<std::vector<AsrKey>> AccessSupportRelation::EvalForward(AsrKey start,
                                                                uint32_t i,
                                                                uint32_t j) {
-  if (i >= j || j > path_.n()) {
-    return Status::InvalidArgument("need 0 <= i < j <= n");
-  }
-  if (!SupportsQuery(i, j)) {
-    return Status::NotSupported(
-        "the " + ExtensionKindName(kind_) +
-        " extension does not support Q_{" + std::to_string(i) + "," +
-        std::to_string(j) + "}");
-  }
-  fwd_queries_.Inc();
-  uint32_t c = ColumnOfPosition(i);
-  const uint32_t cj = ColumnOfPosition(j);
-  std::unordered_set<AsrKey> frontier{start};
-
-  while (c < cj && !frontier.empty()) {
-    int p_idx = decomposition_.PartitionStartingAt(c);
-    bool via_lookup = (p_idx >= 0 && c < decomposition_.m());
-    if (!via_lookup) p_idx = decomposition_.PartitionCovering(c);
-    ASR_CHECK(p_idx >= 0);
-    const Partition& part = partitions_[p_idx];
-    uint32_t target = std::min(part.last, cj);
-    frontier_sizes_.Observe(frontier.size());
-    if (part.store->quarantined) {
-      // Degrade to object-base navigation for this path slice (§4.1): same
-      // answers, navigation page counts — metered separately.
-      degraded_hops_.Inc();
-      obs::LiveTelemetry::Instance().degraded_hops.Inc();
-      ASR_EVENT(obs::EventKind::kDegradedNavigation,
-                "dir=fwd partition=" + part.store->name);
-      obs::ScopedSpan hop("hop");
-      if (hop.active()) {
-        hop.Attr("dir", std::string("fwd"));
-        hop.Attr("partition", part.store->name);
-        hop.Attr("mode", std::string("degraded"));
-        hop.Attr("from_col", static_cast<uint64_t>(c));
-        hop.Attr("to_col", static_cast<uint64_t>(target));
-        hop.Attr("frontier", static_cast<uint64_t>(frontier.size()));
-      }
-      Result<std::unordered_set<AsrKey>> reached =
-          NavigateForward(frontier, c, target);
-      ASR_RETURN_IF_ERROR(reached.status());
-      frontier = std::move(*reached);
-      c = target;
-      continue;
-    }
-    if (via_lookup) {
-      hop_lookups_.Inc();
-    } else {
-      hop_scans_.Inc();
-    }
-    obs::ScopedSpan hop("hop");
-    if (hop.active()) {
-      hop.Attr("dir", std::string("fwd"));
-      hop.Attr("partition", partitions_[p_idx].store->name);
-      hop.Attr("mode", std::string(via_lookup ? "lookup" : "scan"));
-      hop.Attr("from_col", static_cast<uint64_t>(c));
-      hop.Attr("to_col", static_cast<uint64_t>(target));
-      hop.Attr("frontier", static_cast<uint64_t>(frontier.size()));
-    }
-    std::unordered_set<AsrKey> next;
-    if (via_lookup) {
-      ProbeFrontier(partitions_[p_idx].store->forward.get(), frontier,
-                    target - part.first, &next);
-    } else {
-      uint32_t rel_c = c - part.first;
-      Status st = partitions_[p_idx].store->forward->ScanAll(
-          [&](const std::vector<AsrKey>& row) -> Status {
-            if (frontier.count(row[rel_c]) > 0 && !row[rel_c].IsNull()) {
-              AsrKey v = row[target - part.first];
-              if (!v.IsNull()) next.insert(v);
-            }
-            return Status::OK();
-          });
-      ASR_RETURN_IF_ERROR(st);
-    }
-    frontier = std::move(next);
-    c = target;
-  }
-  return std::vector<AsrKey>(frontier.begin(), frontier.end());
+  return EvalHops(HopDirection::kForward, start, i, j, /*captured=*/nullptr);
 }
 
 Result<std::vector<AsrKey>> AccessSupportRelation::EvalBackward(AsrKey target,
                                                                 uint32_t i,
                                                                 uint32_t j) {
+  return EvalHops(HopDirection::kBackward, target, i, j, /*captured=*/nullptr);
+}
+
+Result<std::vector<AsrKey>> AccessSupportRelation::EvalHops(
+    HopDirection dir, AsrKey key, uint32_t i, uint32_t j,
+    const PartitionView* captured) {
   if (i >= j || j > path_.n()) {
     return Status::InvalidArgument("need 0 <= i < j <= n");
   }
@@ -457,64 +389,76 @@ Result<std::vector<AsrKey>> AccessSupportRelation::EvalBackward(AsrKey target,
         " extension does not support Q_{" + std::to_string(i) + "," +
         std::to_string(j) + "}");
   }
-  bwd_queries_.Inc();
+  const bool fwd = (dir == HopDirection::kForward);
+  const char* dir_name = fwd ? "fwd" : "bwd";
+  const bool live = (captured == nullptr);
+  if (live) (fwd ? fwd_queries_ : bwd_queries_).Inc();
   const uint32_t ci = ColumnOfPosition(i);
-  uint32_t c = ColumnOfPosition(j);
-  std::unordered_set<AsrKey> frontier{target};
+  const uint32_t cj = ColumnOfPosition(j);
+  uint32_t c = fwd ? ci : cj;
+  std::unordered_set<AsrKey> frontier{key};
 
-  while (c > ci && !frontier.empty()) {
-    int p_idx = decomposition_.PartitionEndingAt(c);
-    bool via_lookup = (p_idx >= 0 && c > 0);
+  // Each hop carries the frontier across one partition. At a partition
+  // boundary it is a cluster lookup in the tree keyed on column c; at an
+  // interior column every page of the covering partition is scanned
+  // (Eq. 33). A boundary always has a partition on the far side: forward
+  // c < cj <= m, backward c > ci >= 0.
+  while ((fwd ? c < cj : c > ci) && !frontier.empty()) {
+    int p_idx = fwd ? decomposition_.PartitionStartingAt(c)
+                    : decomposition_.PartitionEndingAt(c);
+    const bool via_lookup = (p_idx >= 0);
     if (!via_lookup) p_idx = decomposition_.PartitionCovering(c);
     ASR_CHECK(p_idx >= 0);
-    const Partition& part = partitions_[p_idx];
-    uint32_t dest = std::max(part.first, ci);
-    frontier_sizes_.Observe(frontier.size());
-    if (part.store->quarantined) {
-      degraded_hops_.Inc();
+    const Partition& stored = partitions_[p_idx];
+    const PartitionView part =
+        live ? PartitionView{stored.first, stored.last,
+                             stored.store->forward.get(),
+                             stored.store->backward.get(),
+                             stored.store->quarantined}
+             : captured[p_idx];
+    const uint32_t to =
+        fwd ? std::min(part.last, cj) : std::max(part.first, ci);
+    if (live) {
+      frontier_sizes_.Observe(frontier.size());
+      (part.degraded ? degraded_hops_
+                     : via_lookup ? hop_lookups_ : hop_scans_).Inc();
+    }
+    if (part.degraded) {
       obs::LiveTelemetry::Instance().degraded_hops.Inc();
       ASR_EVENT(obs::EventKind::kDegradedNavigation,
-                "dir=bwd partition=" + part.store->name);
-      obs::ScopedSpan hop("hop");
-      if (hop.active()) {
-        hop.Attr("dir", std::string("bwd"));
-        hop.Attr("partition", part.store->name);
-        hop.Attr("mode", std::string("degraded"));
-        hop.Attr("from_col", static_cast<uint64_t>(c));
-        hop.Attr("to_col", static_cast<uint64_t>(dest));
-        hop.Attr("frontier", static_cast<uint64_t>(frontier.size()));
-      }
-      Result<std::unordered_set<AsrKey>> reached =
-          NavigateBackward(frontier, c, dest);
-      ASR_RETURN_IF_ERROR(reached.status());
-      frontier = std::move(*reached);
-      c = dest;
-      continue;
-    }
-    if (via_lookup) {
-      hop_lookups_.Inc();
-    } else {
-      hop_scans_.Inc();
+                std::string("dir=") + dir_name +
+                    " partition=" + stored.store->name);
     }
     obs::ScopedSpan hop("hop");
     if (hop.active()) {
-      hop.Attr("dir", std::string("bwd"));
-      hop.Attr("partition", partitions_[p_idx].store->name);
-      hop.Attr("mode", std::string(via_lookup ? "lookup" : "scan"));
+      hop.Attr("dir", std::string(dir_name));
+      hop.Attr("partition", stored.store->name);
+      hop.Attr("mode", std::string(part.degraded ? "degraded"
+                                   : via_lookup  ? "lookup"
+                                                 : "scan"));
       hop.Attr("from_col", static_cast<uint64_t>(c));
-      hop.Attr("to_col", static_cast<uint64_t>(dest));
+      hop.Attr("to_col", static_cast<uint64_t>(to));
       hop.Attr("frontier", static_cast<uint64_t>(frontier.size()));
     }
     std::unordered_set<AsrKey> next;
-    if (via_lookup) {
-      ProbeFrontier(partitions_[p_idx].store->backward.get(), frontier,
-                    dest - part.first, &next);
+    const uint32_t rel_to = to - part.first;
+    if (part.degraded) {
+      // Degrade to object-base navigation for this path slice (§4.1): same
+      // answers, navigation page counts — metered separately.
+      Result<std::unordered_set<AsrKey>> reached =
+          fwd ? NavigateForward(frontier, c, to)
+              : NavigateBackward(frontier, c, to);
+      ASR_RETURN_IF_ERROR(reached.status());
+      next = std::move(*reached);
+    } else if (via_lookup) {
+      ProbeFrontier(fwd ? part.forward : part.backward, frontier, rel_to,
+                    &next);
     } else {
-      uint32_t rel_c = c - part.first;
-      Status st = partitions_[p_idx].store->forward->ScanAll(
+      const uint32_t rel_c = c - part.first;
+      Status st = part.forward->ScanAll(
           [&](const std::vector<AsrKey>& row) -> Status {
             if (frontier.count(row[rel_c]) > 0 && !row[rel_c].IsNull()) {
-              AsrKey v = row[dest - part.first];
+              AsrKey v = row[rel_to];
               if (!v.IsNull()) next.insert(v);
             }
             return Status::OK();
@@ -522,7 +466,7 @@ Result<std::vector<AsrKey>> AccessSupportRelation::EvalBackward(AsrKey target,
       ASR_RETURN_IF_ERROR(st);
     }
     frontier = std::move(next);
-    c = dest;
+    c = to;
   }
   return std::vector<AsrKey>(frontier.begin(), frontier.end());
 }

@@ -347,9 +347,34 @@ class AccessSupportRelation {
     std::shared_ptr<PartitionStore> store;
   };
 
+  // One partition as the hop loop reads it: its column range, its two
+  // access methods (the B+ trees keyed on its first and on its last
+  // column), and whether a hop across it must degrade to object-base
+  // navigation instead.
+  struct PartitionView {
+    uint32_t first = 0;
+    uint32_t last = 0;
+    btree::BTree* forward = nullptr;
+    btree::BTree* backward = nullptr;
+    bool degraded = false;
+  };
+
+  enum class HopDirection { kForward, kBackward };
+
   AccessSupportRelation(gom::ObjectStore* store, PathExpression path,
                         ExtensionKind kind, Decomposition decomposition,
                         AsrOptions options);
+
+  // The hop loop behind every EvalForward/EvalBackward: checks the query,
+  // then carries the frontier from `key`'s column to the other end of
+  // Q_{i,j} partition by partition. `captured` is nullptr for a read of the
+  // live ASR — its partition stores' current trees, degraded while
+  // quarantined, with the query/hop telemetry — or a snapshot's views, one
+  // per partition, fixed at OpenSnapshot: such a read writes no ASR state
+  // and never degrades.
+  Result<std::vector<AsrKey>> EvalHops(HopDirection dir, AsrKey key,
+                                       uint32_t i, uint32_t j,
+                                       const PartitionView* captured);
 
   // Rows of partition `p_idx` whose absolute column `col` equals `value`;
   // uses a tree lookup when `col` is the partition's first/last column and a

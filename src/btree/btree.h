@@ -130,13 +130,13 @@ class BTree {
   // one is scanned. Amortizing descents also skips inner-page pins the
   // scalar path would re-charge, so strict metering runs (buffer capacity
   // 0), whose observed counts must realize the model's per-source ht + nlp
-  // charge, should keep calling LookupEach — see
-  // AccessSupportRelation::EvalForward.
+  // charge, should keep calling LookupEach — see ProbeFrontier in
+  // asr/access_support_relation.cc.
   void LookupBatch(const std::vector<AsrKey>& keys,
                    const std::function<bool(size_t, const std::vector<AsrKey>&)>& fn);
 
-  // Buffer pool this tree pins through (callers use its capacity to decide
-  // between metered-faithful scalar probes and batched raw-speed probes).
+  // Buffer pool this tree pins through (callers use its capacity and mode
+  // to decide between scalar probes and batched raw-speed probes).
   storage::BufferManager* buffers() const { return buffers_; }
 
   // True iff some tuple has `key` in the key column (same page cost as a

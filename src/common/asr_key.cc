@@ -7,10 +7,11 @@ std::string AsrKey::ToString() const {
   switch (tag()) {
     case Tag::kOid:
       return ToOid().ToString();
+    // Appended, not `"literal" + std::string`: see Oid::ToString.
     case Tag::kInt:
-      return "#" + std::to_string(ToInt());
+      return std::string("#").append(std::to_string(ToInt()));
     case Tag::kString:
-      return "str:" + std::to_string(ToStringCode());
+      return std::string("str:").append(std::to_string(ToStringCode()));
   }
   return "?";
 }

@@ -31,6 +31,19 @@ uint64_t ReadU64(const std::vector<std::byte>& rec, uint32_t off) {
   return v;
 }
 
+// Corruption unless record `rec` holds `need` bytes. A lost or zeroed page
+// image decodes to records shorter than their fixed layout; reading the
+// layout's offsets from them would run off the record.
+Status CheckRecordLength(const std::vector<std::byte>& rec, size_t need) {
+  if (rec.size() >= need) return Status::OK();
+  return Status::Corruption("object record of " + std::to_string(rec.size()) +
+                            " bytes, its layout needs " +
+                            std::to_string(need));
+}
+
+// Bytes a tuple record needs to hold attributes [0, attrs).
+size_t TupleBytes(size_t attrs) { return kOidBytes + 8 * attrs; }
+
 void WriteU64(std::vector<std::byte>* rec, uint32_t off, uint64_t v) {
   std::memcpy(rec->data() + off, &v, 8);
 }
@@ -39,6 +52,16 @@ uint32_t ReadU32(const std::vector<std::byte>& rec, uint32_t off) {
   uint32_t v;
   std::memcpy(&v, rec.data() + off, 4);
   return v;
+}
+
+// The count word of set record `rec` (continuation flag included), once the
+// record is checked to hold its header and that many members.
+Result<uint32_t> SetRecordCount(const std::vector<std::byte>& rec) {
+  ASR_RETURN_IF_ERROR(CheckRecordLength(rec, kSetHeaderBytes));
+  uint32_t raw = ReadU32(rec, kOidBytes);
+  ASR_RETURN_IF_ERROR(CheckRecordLength(
+      rec, kSetHeaderBytes + 8 * size_t{raw & ~kContinuationFlag}));
+  return raw;
 }
 
 void WriteU32(std::vector<std::byte>* rec, uint32_t off, uint32_t v) {
@@ -311,6 +334,7 @@ Result<AsrKey> ObjectStore::GetAttribute(Oid oid, uint32_t attr_index) {
   std::vector<std::byte> record(
       SlottedPage::RecordLength(guard.page(), loc->slot));
   SlottedPage::Read(guard.page(), loc->slot, record.data());
+  ASR_RETURN_IF_ERROR(CheckRecordLength(record, TupleBytes(attr_index + 1)));
   return AsrKey::FromRaw(ReadU64(record, kOidBytes + 8 * attr_index));
 }
 
@@ -442,9 +466,10 @@ Result<TupleView> ObjectStore::GetTuple(Oid oid) {
   std::vector<std::byte> record(
       SlottedPage::RecordLength(guard.page(), loc->slot));
   SlottedPage::Read(guard.page(), loc->slot, record.data());
+  size_t n = schema_->attributes(type).size();
+  ASR_RETURN_IF_ERROR(CheckRecordLength(record, TupleBytes(n)));
   TupleView view;
   view.oid = oid;
-  size_t n = schema_->attributes(type).size();
   view.attrs.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     view.attrs.push_back(
@@ -495,9 +520,10 @@ Result<std::vector<TupleView>> ObjectStore::GetTuples(std::vector<Oid> oids) {
     std::vector<std::byte> record(
         storage::SlottedPage::RecordLength(guard.page(), pl.loc.slot));
     storage::SlottedPage::Read(guard.page(), pl.loc.slot, record.data());
+    size_t n = schema_->attributes(pl.oid.type_id()).size();
+    ASR_RETURN_IF_ERROR(CheckRecordLength(record, TupleBytes(n)));
     TupleView view;
     view.oid = pl.oid;
-    size_t n = schema_->attributes(pl.oid.type_id()).size();
     view.attrs.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       view.attrs.push_back(AsrKey::FromRaw(ReadU64(record, kOidBytes + 8 * i)));
@@ -549,9 +575,11 @@ Result<std::vector<SetView>> ObjectStore::GetSets(std::vector<Oid> oids) {
     std::vector<std::byte> record(
         storage::SlottedPage::RecordLength(guard.page(), pl.loc.slot));
     storage::SlottedPage::Read(guard.page(), pl.loc.slot, record.data());
+    Result<uint32_t> raw_count = SetRecordCount(record);
+    ASR_RETURN_IF_ERROR(raw_count.status());
     SetView view;
     view.oid = pl.oid;
-    uint32_t count = ReadU32(record, kOidBytes) & ~kContinuationFlag;
+    uint32_t count = *raw_count & ~kContinuationFlag;
     view.members.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       view.members.push_back(
@@ -622,6 +650,7 @@ ObjectStore::GetAttributeTargets(std::vector<Oid> oids,
     std::vector<std::byte> record(
         SlottedPage::RecordLength(guard.page(), pl.loc.slot));
     SlottedPage::Read(guard.page(), pl.loc.slot, record.data());
+    ASR_RETURN_IF_ERROR(CheckRecordLength(record, TupleBytes(*idx + 1)));
     AsrKey value = AsrKey::FromRaw(ReadU64(record, kOidBytes + 8 * *idx));
     if (value.IsNull()) continue;
 
@@ -640,10 +669,11 @@ ObjectStore::GetAttributeTargets(std::vector<Oid> oids,
       std::vector<std::byte> set_rec(
           SlottedPage::RecordLength(guard.page(), set_loc->slot));
       SlottedPage::Read(guard.page(), set_loc->slot, set_rec.data());
-      uint32_t count = ReadU32(set_rec, kOidBytes);
+      Result<uint32_t> count = SetRecordCount(set_rec);
+      ASR_RETURN_IF_ERROR(count.status());
       std::vector<AsrKey> members;
-      members.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
+      members.reserve(*count);
+      for (uint32_t i = 0; i < *count; ++i) {
         members.push_back(
             AsrKey::FromRaw(ReadU64(set_rec, kSetHeaderBytes + 8 * i)));
       }
@@ -699,8 +729,10 @@ Status ObjectStore::ScanWithTargets(
       std::vector<std::byte> record(
           SlottedPage::RecordLength(guard.page(), s));
       SlottedPage::Read(guard.page(), s, record.data());
+      ASR_RETURN_IF_ERROR(CheckRecordLength(record, kOidBytes));
       Oid oid = Oid::FromRaw(ReadU64(record, 0));
       if (oid.type_id() != type) continue;
+      ASR_RETURN_IF_ERROR(CheckRecordLength(record, TupleBytes(*attr_idx + 1)));
       AsrKey value = AsrKey::FromRaw(ReadU64(record, kOidBytes + 8 * *attr_idx));
       if (value.IsNull()) continue;
       if (!set_valued) {
@@ -716,10 +748,11 @@ Status ObjectStore::ScanWithTargets(
         std::vector<std::byte> set_rec(
             SlottedPage::RecordLength(guard.page(), set_loc->slot));
         SlottedPage::Read(guard.page(), set_loc->slot, set_rec.data());
-        uint32_t count = ReadU32(set_rec, kOidBytes);
+        Result<uint32_t> count = SetRecordCount(set_rec);
+        ASR_RETURN_IF_ERROR(count.status());
         std::vector<AsrKey> members;
-        members.reserve(count);
-        for (uint32_t i = 0; i < count; ++i) {
+        members.reserve(*count);
+        for (uint32_t i = 0; i < *count; ++i) {
           members.push_back(
               AsrKey::FromRaw(ReadU64(set_rec, kSetHeaderBytes + 8 * i)));
         }
@@ -1057,7 +1090,9 @@ Result<std::vector<AsrKey>> ObjectStore::ReadSetChain(Oid set_oid) {
     std::vector<std::byte> record(
         SlottedPage::RecordLength(guard.page(), loc.slot));
     SlottedPage::Read(guard.page(), loc.slot, record.data());
-    uint32_t count = ReadU32(record, kOidBytes) & ~kContinuationFlag;
+    Result<uint32_t> raw_count = SetRecordCount(record);
+    ASR_RETURN_IF_ERROR(raw_count.status());
+    uint32_t count = *raw_count & ~kContinuationFlag;
     for (uint32_t i = 0; i < count; ++i) {
       members.push_back(
           AsrKey::FromRaw(ReadU64(record, kSetHeaderBytes + 8 * i)));
@@ -1111,10 +1146,12 @@ Status ObjectStore::ScanTuples(
       std::vector<std::byte> record(
           SlottedPage::RecordLength(guard.page(), s));
       SlottedPage::Read(guard.page(), s, record.data());
+      ASR_RETURN_IF_ERROR(CheckRecordLength(record, kOidBytes));
       TupleView view;
       view.oid = Oid::FromRaw(ReadU64(record, 0));
       // Co-located segments hold records of several types; filter.
       if (view.oid.type_id() != type) continue;
+      ASR_RETURN_IF_ERROR(CheckRecordLength(record, TupleBytes(n_attrs)));
       view.attrs.reserve(n_attrs);
       for (size_t i = 0; i < n_attrs; ++i) {
         view.attrs.push_back(
@@ -1143,12 +1180,14 @@ Status ObjectStore::ScanSets(TypeId type,
       std::vector<std::byte> record(
           SlottedPage::RecordLength(guard.page(), s));
       SlottedPage::Read(guard.page(), s, record.data());
+      ASR_RETURN_IF_ERROR(CheckRecordLength(record, kOidBytes));
       SetView view;
       view.oid = Oid::FromRaw(ReadU64(record, 0));
       if (view.oid.type_id() != type) continue;
-      uint32_t raw_count = ReadU32(record, kOidBytes);
-      if ((raw_count & kContinuationFlag) != 0) continue;  // chain tail
-      uint32_t count = raw_count;
+      Result<uint32_t> raw_count = SetRecordCount(record);
+      ASR_RETURN_IF_ERROR(raw_count.status());
+      if ((*raw_count & kContinuationFlag) != 0) continue;  // chain tail
+      uint32_t count = *raw_count;
       view.members.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         view.members.push_back(

@@ -152,6 +152,8 @@ class BufferManager {
 
   Disk* disk() { return disk_; }
   size_t capacity() const { return capacity_; }
+  // True for a read-only pool built over a PageSnapshot.
+  bool snapshot_mode() const { return snapshot_mode_; }
   uint64_t hits() const {
     std::lock_guard<std::mutex> lock(mu_);
     return hits_;

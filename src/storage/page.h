@@ -66,8 +66,11 @@ class Page {
     std::memcpy(data_.data() + offset, &value, sizeof(T));
   }
 
+  // `out` may be null when `len` is 0 (an empty vector's data(), as when a
+  // zeroed slot directory reports an empty record); memcpy may not see it.
   void ReadBytes(uint32_t offset, void* out, uint32_t len) const {
     ASR_DCHECK(offset + len <= kPageSize);
+    if (len == 0) return;
     std::memcpy(out, data_.data() + offset, len);
   }
 

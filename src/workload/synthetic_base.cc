@@ -9,6 +9,17 @@
 
 namespace asr::workload {
 
+namespace {
+
+// `prefix` followed by `i`, as in "T3" or "A1". Appended, not written
+// `"T" + std::to_string(i)`: GCC 12 at -O3 reports a false -Wrestrict on
+// that form.
+std::string Named(const char* prefix, uint32_t i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+
+}  // namespace
+
 Result<std::unique_ptr<SyntheticBase>> SyntheticBase::Generate(
     const cost::ApplicationProfile& profile, const GenerateOptions& options) {
   ASR_RETURN_IF_ERROR(profile.Validate());
@@ -22,7 +33,7 @@ Result<std::unique_ptr<SyntheticBase>> SyntheticBase::Generate(
   std::vector<TypeId> types(n + 1, kInvalidTypeId);
   std::vector<TypeId> set_types(n + 1, kInvalidTypeId);
   {
-    Result<TypeId> tn = schema.DefineTupleType("T" + std::to_string(n), {}, {});
+    Result<TypeId> tn = schema.DefineTupleType(Named("T", n), {}, {});
     ASR_RETURN_IF_ERROR(tn.status());
     types[n] = *tn;
   }
@@ -30,16 +41,15 @@ Result<std::unique_ptr<SyntheticBase>> SyntheticBase::Generate(
     uint32_t fan = static_cast<uint32_t>(std::llround(profile.fan[i]));
     TypeId range = types[i + 1];
     if (fan > 1) {
-      Result<TypeId> set = schema.DefineSetType(
-          "S" + std::to_string(i + 1), types[i + 1]);
+      Result<TypeId> set =
+          schema.DefineSetType(Named("S", i + 1), types[i + 1]);
       ASR_RETURN_IF_ERROR(set.status());
       set_types[i + 1] = *set;
       range = *set;
     }
     std::vector<gom::Attribute> attrs{
-        gom::Attribute{"A" + std::to_string(i + 1), range, kInvalidTypeId}};
-    Result<TypeId> t = schema.DefineTupleType("T" + std::to_string(i),
-                                              {}, attrs);
+        gom::Attribute{Named("A", i + 1), range, kInvalidTypeId}};
+    Result<TypeId> t = schema.DefineTupleType(Named("T", i), {}, attrs);
     ASR_RETURN_IF_ERROR(t.status());
     types[i] = *t;
   }
@@ -101,7 +111,7 @@ Result<std::unique_ptr<SyntheticBase>> SyntheticBase::Generate(
   for (uint32_t i = 0; i < n; ++i) {
     uint32_t fan = static_cast<uint32_t>(std::llround(profile.fan[i]));
     uint64_t target_count = base->levels_[i + 1].size();
-    std::string attr = "A" + std::to_string(i + 1);
+    std::string attr = Named("A", i + 1);
     const bool has_sets = set_types[i + 1] != kInvalidTypeId;
 
     std::vector<uint64_t> pool;
@@ -138,7 +148,7 @@ Result<std::unique_ptr<SyntheticBase>> SyntheticBase::Generate(
 
   // Build the path expression T0.A1.....An.
   std::vector<std::string> attrs;
-  for (uint32_t i = 1; i <= n; ++i) attrs.push_back("A" + std::to_string(i));
+  for (uint32_t i = 1; i <= n; ++i) attrs.push_back(Named("A", i));
   Result<PathExpression> path =
       PathExpression::Create(schema, types[0], attrs);
   ASR_RETURN_IF_ERROR(path.status());

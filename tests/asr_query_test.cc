@@ -131,7 +131,9 @@ INSTANTIATE_TEST_SUITE_P(
         QueryCase{ExtensionKind::kRightComplete, {0, 2, 3}}),
     [](const ::testing::TestParamInfo<QueryCase>& info) {
       std::string name = ExtensionKindName(info.param.kind);
-      for (uint32_t c : info.param.cuts) name += "_" + std::to_string(c);
+      for (uint32_t c : info.param.cuts) {
+        name.append("_").append(std::to_string(c));
+      }
       return name;
     });
 

@@ -170,7 +170,8 @@ TEST_F(BTreeTest, StatisticsTrackGrowth) {
 
 TEST_F(BTreeTest, WideTuplesRoundTrip) {
   for (uint32_t width : {2u, 3u, 5u, 6u}) {
-    BTree tree(&buffers_, "w" + std::to_string(width), width, width - 1);
+    BTree tree(&buffers_, std::string("w").append(std::to_string(width)),
+               width, width - 1);
     std::vector<AsrKey> tuple;
     for (uint32_t c = 0; c < width; ++c) {
       tuple.push_back(AsrKey::FromOid(Oid::Make(c + 1, 100 + c)));
@@ -266,8 +267,8 @@ TEST_F(BTreeTest, LookupBatchMatchesScalarProbes) {
   };
   Rng rng(29);
   for (Config cfg : {Config{2, 0}, Config{3, 1}, Config{4, 3}}) {
-    BTree tree(&buffers_, "b" + std::to_string(cfg.width), cfg.width,
-               cfg.key_col);
+    BTree tree(&buffers_, std::string("b").append(std::to_string(cfg.width)),
+               cfg.width, cfg.key_col);
     for (int i = 0; i < 20000; ++i) {
       std::vector<AsrKey> t;
       for (uint32_t c = 0; c < cfg.width; ++c) {

@@ -66,7 +66,8 @@ TEST(CheckReportTest, AccumulatesAndSerializes) {
 TEST(CheckReportTest, RecordingIsCappedPerCategory) {
   CheckReport report;
   for (int i = 0; i < 1000; ++i) {
-    report.Add(Category::kRefcount, "site", "v" + std::to_string(i));
+    report.Add(Category::kRefcount, "site",
+               std::string("v").append(std::to_string(i)));
   }
   EXPECT_EQ(report.total(), 1000u);
   EXPECT_EQ(report.count(Category::kRefcount), 1000u);

@@ -528,6 +528,35 @@ TEST(DegradeTest, QuarantinedPartitionAnswersByNavigationAndMetersIt) {
   ExpectInvariantsClean(p.faulty_asr.get(), "post-repair");
 }
 
+// A zeroed object page decodes to empty records. Reads of it report
+// Corruption instead of running off the record, directly and when a
+// quarantined partition sends a query through the object base.
+TEST(DegradeTest, ZeroedObjectPageFailsNavigationAsCorruption) {
+  TwinPair p = MakePair(ExtensionKind::kFull);
+  uint32_t tree_seg = p.faulty_asr->partition_store(0)->forward->segment();
+  Page zeros;
+  ASSERT_TRUE(p.faulty->disk.WritePage(PageId{tree_seg, 0}, zeros).ok());
+  p.faulty->buffers.DropAll();
+  ASSERT_TRUE(p.faulty_asr->Recover().ok());
+  ASSERT_TRUE(p.faulty_asr->degraded());
+
+  const Oid division = p.faulty->auto_division;
+  const int64_t obj_seg = p.faulty->store->SegmentOf(division.type_id());
+  ASSERT_GE(obj_seg, 0);
+  const uint32_t seg = static_cast<uint32_t>(obj_seg);
+  for (uint32_t page = 0; page < p.faulty->disk.SegmentPageCount(seg);
+       ++page) {
+    ASSERT_TRUE(p.faulty->disk.WritePage(PageId{seg, page}, zeros).ok());
+  }
+  p.faulty->buffers.DropAll();
+
+  Result<AsrKey> attr = p.faulty->store->GetAttribute(division, 0);
+  EXPECT_TRUE(attr.status().IsCorruption()) << attr.status().ToString();
+  Result<std::vector<AsrKey>> fwd =
+      p.faulty_asr->EvalForward(p.faulty->Key(division), 0, 3);
+  EXPECT_TRUE(fwd.status().IsCorruption()) << fwd.status().ToString();
+}
+
 // Maintenance keeps refcounts current while a partition is quarantined, so
 // Repair() after further updates still lands on the right state.
 TEST(DegradeTest, MaintenanceDuringQuarantineSurvivesRepair) {

@@ -10,9 +10,11 @@
 
 #include "asr/access_support_relation.h"
 #include "asr/query.h"
+#include "asr/snapshot.h"
 #include "btree/btree.h"
 #include "common/random.h"
 #include "rel/relation.h"
+#include "storage/mvcc.h"
 #include "workload/synthetic_base.h"
 
 namespace asr {
@@ -99,9 +101,12 @@ INSTANTIATE_TEST_SUITE_P(
                       BTreeFuzzCase{5, 4, 14, 200},
                       BTreeFuzzCase{6, 0, 15, 8}),
     [](const ::testing::TestParamInfo<BTreeFuzzCase>& info) {
-      return "w" + std::to_string(info.param.width) + "k" +
-             std::to_string(info.param.key_column) + "s" +
-             std::to_string(info.param.seed);
+      return std::string("w")
+          .append(std::to_string(info.param.width))
+          .append("k")
+          .append(std::to_string(info.param.key_column))
+          .append("s")
+          .append(std::to_string(info.param.seed));
     });
 
 // --- Theorem 3.9 on random bases -------------------------------------------
@@ -163,6 +168,11 @@ TEST(LosslessnessFuzz, EveryDecompositionRejoinsToTheExtension) {
 
 // --- Random query agreement across extensions -------------------------------
 
+// Every answer is checked on every evaluation path: the live ASR, a
+// snapshot of a transactional twin, and a twin with one partition
+// quarantined (degraded navigation across that slice). Each runs at pool
+// capacity 0 (scalar probes) and at a real capacity (batched probes on the
+// live pools, scalar on the snapshot pool).
 TEST(QueryAgreementFuzz, AllSupportingExtensionsAgreeWithNavigation) {
   cost::ApplicationProfile profile;
   profile.n = 4;
@@ -170,54 +180,93 @@ TEST(QueryAgreementFuzz, AllSupportingExtensionsAgreeWithNavigation) {
   profile.d = {20, 32, 45, 60};
   profile.fan = {2, 1, 2, 1};
   profile.size = {120, 120, 120, 120, 120};
-  auto base = workload::SyntheticBase::Generate(profile, {31, 64}).value();
-  QueryEvaluator nav(base->store(), &base->path());
 
-  std::vector<std::unique_ptr<AccessSupportRelation>> asrs;
-  for (ExtensionKind kind :
-       {ExtensionKind::kCanonical, ExtensionKind::kFull,
-        ExtensionKind::kLeftComplete, ExtensionKind::kRightComplete}) {
-    for (const Decomposition& dec :
-         {Decomposition::None(4), Decomposition::Binary(4),
-          Decomposition::Of({0, 2, 4}, 4).value()}) {
-      asrs.push_back(AccessSupportRelation::Build(base->store(),
-                                                  base->path(), kind, dec)
-                         .value());
-    }
-  }
+  for (size_t capacity : {size_t{0}, size_t{64}}) {
+    storage::MvccManager mvcc;
+    workload::GenerateOptions gen;
+    gen.seed = 31;
+    gen.buffer_capacity = capacity;
+    auto base = workload::SyntheticBase::Generate(profile, gen).value();
+    base->disk()->AttachMvcc(&mvcc);
+    QueryEvaluator nav(base->store(), &base->path());
 
-  Rng rng(77);
-  for (int trial = 0; trial < 40; ++trial) {
-    uint32_t i = static_cast<uint32_t>(rng.Uniform(4));
-    uint32_t j = i + 1 + static_cast<uint32_t>(rng.Uniform(4 - i));
-    bool forward = rng.Bernoulli(0.5);
-    std::set<uint64_t> expected;
-    AsrKey anchor;
-    if (forward) {
-      const auto& starts = base->objects_at(i);
-      anchor = AsrKey::FromOid(starts[rng.Uniform(starts.size())]);
-      for (AsrKey k : nav.ForwardNoSupport(anchor, i, j).value()) {
-        expected.insert(k.raw());
-      }
-    } else {
-      const auto& targets = base->objects_at(j);
-      anchor = AsrKey::FromOid(targets[rng.Uniform(targets.size())]);
-      for (AsrKey k : nav.BackwardNoSupport(anchor, i, j).value()) {
-        expected.insert(k.raw());
+    struct Readers {
+      std::unique_ptr<AccessSupportRelation> live;
+      std::unique_ptr<AccessSupportRelation> txn;
+      std::unique_ptr<AccessSupportRelation> degraded;
+    };
+    AsrOptions txn_options;
+    txn_options.transactional = true;
+    std::vector<Readers> readers;
+    for (ExtensionKind kind :
+         {ExtensionKind::kCanonical, ExtensionKind::kFull,
+          ExtensionKind::kLeftComplete, ExtensionKind::kRightComplete}) {
+      for (const Decomposition& dec :
+           {Decomposition::None(4), Decomposition::Binary(4),
+            Decomposition::Of({0, 2, 4}, 4).value()}) {
+        auto build = [&](const AsrOptions& options) {
+          return AccessSupportRelation::Build(base->store(), base->path(),
+                                              kind, dec, options)
+              .value();
+        };
+        readers.push_back({build({}), build(txn_options), build({})});
       }
     }
-    for (const auto& asr : asrs) {
-      if (!asr->SupportsQuery(i, j)) continue;
-      std::set<uint64_t> got;
-      Result<std::vector<AsrKey>> result =
-          forward ? asr->EvalForward(anchor, i, j)
-                  : asr->EvalBackward(anchor, i, j);
-      ASSERT_TRUE(result.ok());
-      for (AsrKey k : *result) got.insert(k.raw());
-      ASSERT_EQ(got, expected)
-          << ExtensionKindName(asr->kind()) << " "
-          << asr->decomposition().ToString() << " trial " << trial
-          << (forward ? " fw" : " bw") << " i=" << i << " j=" << j;
+    // Recover() drops the shared pool's frames unwritten, so every dirty
+    // page must be on disk before each one.
+    ASSERT_TRUE(base->buffers()->FlushAll().ok());
+    for (size_t k = 0; k < readers.size(); ++k) {
+      AccessSupportRelation* asr = readers[k].degraded.get();
+      uint32_t seg =
+          asr->partition_store(k % asr->partition_count())->forward->segment();
+      ASSERT_TRUE(
+          base->disk()->WritePage(storage::PageId{seg, 0}, storage::Page())
+              .ok());
+      ASSERT_TRUE(asr->Recover().ok());
+      ASSERT_TRUE(asr->degraded()) << k;
+      ASSERT_TRUE(base->buffers()->FlushAll().ok());
+    }
+
+    Rng rng(77);
+    for (int trial = 0; trial < 40; ++trial) {
+      uint32_t i = static_cast<uint32_t>(rng.Uniform(4));
+      uint32_t j = i + 1 + static_cast<uint32_t>(rng.Uniform(4 - i));
+      bool forward = rng.Bernoulli(0.5);
+      std::set<uint64_t> expected;
+      AsrKey anchor;
+      if (forward) {
+        const auto& starts = base->objects_at(i);
+        anchor = AsrKey::FromOid(starts[rng.Uniform(starts.size())]);
+        for (AsrKey k : nav.ForwardNoSupport(anchor, i, j).value()) {
+          expected.insert(k.raw());
+        }
+      } else {
+        const auto& targets = base->objects_at(j);
+        anchor = AsrKey::FromOid(targets[rng.Uniform(targets.size())]);
+        for (AsrKey k : nav.BackwardNoSupport(anchor, i, j).value()) {
+          expected.insert(k.raw());
+        }
+      }
+      for (const Readers& r : readers) {
+        if (!r.live->SupportsQuery(i, j)) continue;
+        std::unique_ptr<AsrSnapshot> snapshot = r.txn->OpenSnapshot().value();
+        auto check = [&](auto* reader, const char* path) {
+          Result<std::vector<AsrKey>> result =
+              forward ? reader->EvalForward(anchor, i, j)
+                      : reader->EvalBackward(anchor, i, j);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          std::set<uint64_t> got;
+          for (AsrKey k : *result) got.insert(k.raw());
+          ASSERT_EQ(got, expected)
+              << path << " " << ExtensionKindName(r.live->kind()) << " "
+              << r.live->decomposition().ToString() << " capacity "
+              << capacity << " trial " << trial << (forward ? " fw" : " bw")
+              << " i=" << i << " j=" << j;
+        };
+        check(r.live.get(), "live");
+        check(snapshot.get(), "snapshot");
+        check(r.degraded.get(), "degraded");
+      }
     }
   }
 }

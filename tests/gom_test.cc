@@ -535,7 +535,9 @@ TEST(ObjectStoreBasics, OverflowedSetsWorkThroughPathMachinery) {
   ASSERT_TRUE(store.SetAttributeByName(r, "Kids", AsrKey::FromOid(set)).ok());
   for (int i = 0; i < 1200; ++i) {
     Oid l = store.CreateObject(leaf).value();
-    ASSERT_TRUE(store.SetString(l, "Tag", "t" + std::to_string(i % 7)).ok());
+    std::string tag = "t";
+    tag.append(std::to_string(i % 7));
+    ASSERT_TRUE(store.SetString(l, "Tag", tag).ok());
     ASSERT_TRUE(store.AddToSet(set, AsrKey::FromOid(l)).ok());
   }
   int edges = 0;

@@ -155,7 +155,9 @@ INSTANTIATE_TEST_SUITE_P(
         MaintenanceCase{ExtensionKind::kRightComplete, {0, 1, 3}}),
     [](const ::testing::TestParamInfo<MaintenanceCase>& info) {
       std::string name = ExtensionKindName(info.param.kind);
-      for (uint32_t c : info.param.cuts) name += "_" + std::to_string(c);
+      for (uint32_t c : info.param.cuts) {
+        name.append("_").append(std::to_string(c));
+      }
       return name;
     });
 

@@ -353,6 +353,9 @@ class SnapshotRecyclingTest : public ::testing::TestWithParam<ExtensionKind> {
   }
 
   storage::MvccManager mvcc_;
+  // Outlives base_, so a test that stops early never leaves the disk
+  // pointing at a destroyed injector.
+  storage::FaultInjector injector_;
   std::unique_ptr<CompanyBase> base_;
   std::unique_ptr<CompanyBase> twin_base_;
   std::unique_ptr<AccessSupportRelation> asr_;
@@ -479,8 +482,7 @@ TEST_P(SnapshotRecyclingTest, RepairedTreesStayVersionedAcrossRebuild) {
 // images it cached, which are the last committed ones (under ASR_PARANOID
 // the cold-read cross-check stands down while the disk is crashed).
 TEST_P(SnapshotRecyclingTest, TornCommitDiscardsRecycledPools) {
-  storage::FaultInjector injector;
-  base_->disk.set_fault_injector(&injector);
+  base_->disk.set_fault_injector(&injector_);
   for (const EdgeOp& op : {kInsPepper, kRemPepper}) {
     const bool held_across = op.insert;
     { Snap(asr_->OpenSnapshot().value().get()); }  // warm the spare pool
@@ -497,9 +499,9 @@ TEST_P(SnapshotRecyclingTest, TornCommitDiscardsRecycledPools) {
     storage::FaultSpec spec;
     spec.kind = storage::FaultKind::kTornWrite;
     spec.segment_prefix = "btree:";
-    injector.Arm(spec);
+    injector_.Arm(spec);
     const Status st = Maintain(op, base_.get(), asr_.get());
-    ASSERT_TRUE(injector.fired());
+    ASSERT_TRUE(injector_.fired());
     EXPECT_TRUE(st.IsIOError()) << st.ToString();
     if (held_across) {
       EXPECT_EQ(Snap(held.get()), committed);
@@ -512,11 +514,10 @@ TEST_P(SnapshotRecyclingTest, TornCommitDiscardsRecycledPools) {
     ASSERT_TRUE(ApplyEdgeOp(op, twin_base_.get(), twin_.get()).ok());
     ASSERT_TRUE(asr_->Recover().ok());
     ASSERT_TRUE(asr_->Repair().ok());
-    ASSERT_FALSE(injector.crashed());
+    ASSERT_FALSE(injector_.crashed());
     { EXPECT_EQ(Snap(asr_->OpenSnapshot().value().get()), Twin()); }
     { EXPECT_EQ(Snap(asr_->OpenSnapshot().value().get()), Twin()); }
   }
-  base_->disk.set_fault_injector(nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllExtensions, SnapshotRecyclingTest,
